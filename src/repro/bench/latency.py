@@ -101,7 +101,6 @@ def mpi_rma_pingpong(platform: str, scheme: str, size: int, iters: int = 20) -> 
         buf = np.zeros(max(size, 1) + 8, dtype=np.uint8)
         win = Win.create(comm, buf)
         data = np.ones(max(size, 1), dtype=np.uint8)
-        flag = np.full(8, 1, dtype=np.uint8)
         yield from comm.barrier()
         t0 = ctx.env.now
         for it in range(iters):
@@ -130,7 +129,9 @@ def mpi_rma_pingpong(platform: str, scheme: str, size: int, iters: int = 20) -> 
                         win.put(peer, data)
                         yield from win.unlock(peer)
                         yield from win.lock(peer)
-                        win.put(peer, flag + it, offset=max(size, 1))
+                        # The flag byte wraps like the receiver's poll.
+                        flag = np.full(8, (1 + it) % 256, dtype=np.uint8)
+                        win.put(peer, flag, offset=max(size, 1))
                         yield from win.unlock(peer)
                     else:
                         # MPI baseline polls a flag byte, not a retry loop.

@@ -508,38 +508,46 @@ class Nic:  # unrlint: disable=UNR009
 
         # Each side is one deferred callback — one heap entry instead of
         # a generator process (Initialize + yields + completion events).
-        def local_side(_value: Any) -> None:
-            if local_action is not None and self.spec.atomic_offload:
-                local_action()
-            elif local_record is not None:
-                local_record.complete_time = env.now
-                if not self.cq.try_push(local_record):
-                    env.process(
-                        _push_then_resolve(self.cq, local_record, done, tx_end),
-                        name="nic-put-local",
-                    )
-                    return
-            done.resolve(tx_end)
-
-        def remote_side(_value: Any) -> None:
-            rslab, rslot = dst._slab, dst._slot
-            rslab.rx_msgs[rslot] += 1
-            rslab.rx_bytes[rslot] += nbytes
-            if on_deliver is not None:
-                on_deliver(payload)
-            if remote_action is not None and dst.spec.atomic_offload:
-                remote_action()
-            elif remote_record is not None:
-                remote_record.complete_time = env.now
-                if not dst.cq.try_push(remote_record):
-                    env.process(
-                        _blocking_push(dst.cq, remote_record),
-                        name="nic-put-remote",
-                    )
-
-        env.defer(tx_end - now, local_side)
-        env.defer(deliver_at - now, remote_side)
+        # The post's state rides in the deferred value, so a post
+        # allocates two tuples rather than two closures and their cells.
+        env.defer(tx_end - now, self._put_local_side,
+                  (done, tx_end, local_record, local_action))
+        env.defer(deliver_at - now, dst._put_remote_side,
+                  (nbytes, payload, on_deliver, remote_record, remote_action))
         return done
+
+    def _put_local_side(self, state: tuple) -> None:
+        """Local completion of a PUT posted on this NIC."""
+        done, tx_end, local_record, local_action = state
+        if local_action is not None and self.spec.atomic_offload:
+            local_action()
+        elif local_record is not None:
+            local_record.complete_time = self.env.now
+            if not self.cq.try_push(local_record):
+                self.env.process(
+                    _push_then_resolve(self.cq, local_record, done, tx_end),
+                    name="nic-put-local",
+                )
+                return
+        done.resolve(tx_end)
+
+    def _put_remote_side(self, state: tuple) -> None:
+        """Delivery of a PUT into this (the target) NIC."""
+        nbytes, payload, on_deliver, remote_record, remote_action = state
+        slab, slot = self._slab, self._slot
+        slab.rx_msgs[slot] += 1
+        slab.rx_bytes[slot] += nbytes
+        if on_deliver is not None:
+            on_deliver(payload)
+        if remote_action is not None and self.spec.atomic_offload:
+            remote_action()
+        elif remote_record is not None:
+            remote_record.complete_time = self.env.now
+            if not self.cq.try_push(remote_record):
+                self.env.process(
+                    _blocking_push(self.cq, remote_record),
+                    name="nic-put-remote",
+                )
 
     # ------------------------------------------------------------------
     def post_get(

@@ -369,7 +369,7 @@ class HostProfiler:
         measured ~1 us/event of cache misses, triple the cost of the
         append itself.  So the entry carries only the event's *class*
         plus a classification key that is already long-lived: the
-        ``__code__`` of a Deferred's callback (the closure itself is
+        ``__code__`` of a Deferred's callback (the callable itself is
         fresh per post), or the callbacks list for everything else
         (its entries are bound methods of long-lived Processes; the
         list must be captured here anyway because ``step`` nulls
@@ -511,9 +511,10 @@ class HostProfiler:
     def _stat_for_code(self, prefix: str, fkey: Any) -> _Stat:
         """Resolve a callable to its stat, keyed by ``__code__``.
 
-        Deferred callbacks are often *fresh closures* (``Nic.post_put``
-        builds one ``local_side`` per post), so memoizing on the
-        function object would miss — and leak — once per post.  The
+        Deferred callbacks are often fresh objects (``Nic.post_get``
+        builds one ``local_side`` closure per post, ``Nic.post_put``
+        one bound method), so memoizing on the callable would miss —
+        and leak — once per post.  The
         shared code object identifies the source location exactly and
         lives for the life of the module.
         """

@@ -10,7 +10,7 @@ process per rank and returns their values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .netsim import Cluster, Nic, Node
 from .sim import Environment, Process
@@ -36,18 +36,25 @@ class Job:
         #: a promoted rank adopts its mirror's node).  Empty on the hot
         #: path of every unreplicated run.
         self._node_override: dict = {}
+        #: Memoized placement, filled on first lookup of a valid rank:
+        #: rank -> Node and (rank, rail) -> Nic.  ``reassign_node``
+        #: clears both.
+        self._node_cache: Dict[int, Node] = {}
+        self._nic_cache: Dict[Tuple[int, int], Nic] = {}
 
     @property
     def env(self) -> Environment:
         return self.cluster.env
 
     def node_of(self, rank: int) -> Node:
-        self._check(rank)
-        if self._node_override:
-            override = self._node_override.get(rank)
-            if override is not None:
-                return self.cluster.node(override)
-        return self.cluster.node(rank // self.ranks_per_node)
+        node = self._node_cache.get(rank)
+        if node is None:
+            self._check(rank)
+            index = self._node_override.get(rank)
+            if index is None:
+                index = rank // self.ranks_per_node
+            node = self._node_cache[rank] = self.cluster.node(index)
+        return node
 
     def reassign_node(self, rank: int, node_index: int) -> None:
         """Re-point ``rank`` onto another node (replication failover).
@@ -61,6 +68,8 @@ class Job:
         if not 0 <= node_index < self.cluster.n_nodes:
             raise ValueError(f"node {node_index} out of range")
         self._node_override[rank] = node_index
+        self._node_cache.clear()
+        self._nic_cache.clear()
 
     def local_index(self, rank: int) -> int:
         """Index of ``rank`` among the ranks of its node."""
@@ -75,9 +84,12 @@ class Job:
         is spread across the node's NICs so co-located ranks use
         different rails (the Figure 5 setup: 2 processes, 2 NICs).
         """
-        node = self.node_of(rank)
-        base = self.local_index(rank) % node.n_rails
-        return node.nic((base + rail) % node.n_rails)
+        nic = self._nic_cache.get((rank, rail))
+        if nic is None:
+            node = self.node_of(rank)
+            base = self.local_index(rank) % node.n_rails
+            nic = self._nic_cache[rank, rail] = node.nic((base + rail) % node.n_rails)
+        return nic
 
     def co_located(self, a: int, b: int) -> bool:
         return self.node_of(a) is self.node_of(b)

@@ -32,7 +32,8 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, cast
+import gc
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .scheduler import CalendarScheduler, Scheduler
 
@@ -52,6 +53,18 @@ __all__ = [
 
 # Sentinel for an event that has not yet been given a value.
 _PENDING = object()
+
+_INF = float("inf")
+
+#: Generation-0 collection threshold while :meth:`Environment.run` is
+#: dispatching.  A run allocates millions of short-lived events and
+#: records that reference counting frees at once, so at the default
+#: threshold (700) the cyclic collector runs thousands of times per
+#: large run and finds nothing (``tests/core/test_gc_invariant.py`` pins
+#: that every golden scenario leaves no cyclic garbage).  Generations
+#: 1 and 2 keep their thresholds; the caller's threshold is restored on
+#: exit, and the collector's enabled state is never touched.
+GC_GEN0_THRESHOLD = 50_000
 
 
 class SimulationError(RuntimeError):
@@ -86,6 +99,10 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_defused")
+
+    #: Function :meth:`Environment.step` calls with the value before the
+    #: callbacks run; only :class:`Deferred` sets it.
+    _fn: Optional[Callable[[Any], None]] = None
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -192,19 +209,19 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined: Timeout and Deferred are the most
+        # frequent events, and this saves a call per event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = False
+        self._defused = False
+        self.delay = delay
+        env._schedule(self, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
-
-
-def _run_deferred(event: "Event") -> None:
-    deferred = cast("Deferred", event)
-    deferred._fn(deferred._value)
 
 
 class Deferred(Event):
@@ -214,7 +231,8 @@ class Deferred(Event):
     a :class:`Process`: a process costs an Initialize event, one event
     per yield and a final completion event, while a deferred costs
     exactly one heap entry.  The NIC delivery paths
-    (:mod:`repro.netsim.nic`) are built on this.
+    (:mod:`repro.netsim.nic`) are built on this.  :meth:`Environment.step`
+    calls ``fn`` itself, before any process that waits on the deferred.
     """
 
     __slots__ = ("_fn",)
@@ -228,13 +246,15 @@ class Deferred(Event):
     ) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self._fn = fn
-        self._ok = True
+        # Event.__init__ inlined, as in Timeout.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        assert self.callbacks is not None
-        self.callbacks.append(_run_deferred)
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = False
+        self._defused = False
+        self._fn = fn
+        env._schedule(self, delay)
 
     def __repr__(self) -> str:
         return f"<Deferred fn={getattr(self._fn, '__name__', self._fn)!r}>"
@@ -309,17 +329,14 @@ class Process(Event):
     # -- plumbing ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         self._target = None
-        if event._ok:
-            self._step_send(event._value)
-        else:
+        if not event._ok:
             event._defused = True
             self._step_throw(event._value)
-
-    def _step_send(self, value: Any) -> None:
+            return
         env = self.env
         prev, env._active = env._active, self
         try:
-            target = self._generator.send(value)
+            target = self._generator.send(event._value)
         except StopIteration as exc:
             self.succeed(exc.value)
             return
@@ -539,14 +556,20 @@ class Environment:
             prof.on_event(event)
         callbacks = event.callbacks
         event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
+        fn = event._fn
+        if fn is not None:
+            fn(event._value)
+        for callback in callbacks:  # type: ignore[union-attr]
             callback(event)
         if not event._ok and not event._defused:
             raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or the clock passes ``until``."""
+        """Run until the queue drains or the clock passes ``until``.
+
+        While it dispatches, the gen-0 GC threshold is raised to
+        :data:`GC_GEN0_THRESHOLD` (see there); every exit restores it.
+        """
         if until is not None:
             limit = float(until)
             if limit < self._now:
@@ -554,10 +577,22 @@ class Environment:
                     f"until={limit} is in the past (now={self._now})"
                 )
         else:
-            limit = float("inf")
+            limit = _INF
         sched = self._sched
-        while sched and sched.peek_time() <= limit:
-            self.step()
+        peek, step = sched.peek_time, self.step
+        saved = gc.get_threshold()
+        if 0 < saved[0] < GC_GEN0_THRESHOLD:  # 0 means gen 0 is off
+            gc.set_threshold(GC_GEN0_THRESHOLD, *saved[1:])
+        try:
+            while True:
+                when = peek()
+                # peek() is inf on an empty queue; an event may also be
+                # scheduled at inf itself, which an unbounded run dispatches.
+                if when > limit or (when == _INF and not sched):
+                    break
+                step()
+        finally:
+            gc.set_threshold(*saved)
         if until is not None and self._now < limit:
             self._now = limit
 

@@ -36,6 +36,15 @@ def test_mpi_rma_pingpong_schemes(scheme):
     assert t > 0
 
 
+def test_mpi_rma_lock_flag_wraps_past_255_iterations():
+    # The lock scheme's flag byte counts iterations modulo 256, as the
+    # receiver polls it; the 300th iteration once overflowed a uint8.
+    steady = mpi_rma_pingpong("hpc-ib", "lock", 8, iters=255)
+    assert mpi_rma_pingpong("hpc-ib", "lock", 8, iters=300) == pytest.approx(steady, rel=1e-3)
+    # Below the wrap the flag values, and so the latency, are unchanged.
+    assert mpi_rma_pingpong("hpc-ib", "lock", 64, iters=5) == 1.1903229068564316e-05
+
+
 def test_mpi_rma_unknown_scheme():
     with pytest.raises(ValueError):
         mpi_rma_pingpong("hpc-ib", "psync", 64)

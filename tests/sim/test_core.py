@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel (`repro.sim.core`)."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -11,6 +13,8 @@ from repro.sim import (
     SimulationError,
     StopProcess,
 )
+from repro.sim.core import GC_GEN0_THRESHOLD
+from repro.sim.scheduler import HeapScheduler
 
 
 def test_timeout_advances_clock():
@@ -290,3 +294,89 @@ def test_active_process_tracking():
     env.run()
     assert seen == [p, p]
     assert env.active_process is None
+
+
+def test_deferred_fn_runs_before_late_waiters():
+    env = Environment()
+    log = []
+    deferred = env.defer(2.0, lambda v: log.append(("fn", v, env.now)), "x")
+
+    def waiter(env):
+        got = yield deferred
+        log.append(("waiter", got, env.now))
+
+    env.process(waiter(env))
+    env.run()
+    assert log == [("fn", "x", 2.0), ("waiter", "x", 2.0)]
+
+
+def test_unbounded_run_dispatches_event_at_infinity():
+    env = Environment(scheduler=HeapScheduler())
+    fired = []
+    env.timeout(float("inf")).callbacks.append(lambda _e: fired.append(env.now))
+    env.run()
+    assert fired == [float("inf")]
+
+
+# -- run-scoped GC policy ---------------------------------------------------
+
+
+def _finishes(env):
+    yield env.timeout(1)
+
+
+def _never_finishes(env):
+    yield env.timeout(100)
+
+
+def _fails(env):
+    yield env.timeout(1)
+    raise RuntimeError("boom")
+
+
+@pytest.fixture
+def restore_gc():
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("caller_disabled", [False, True], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "program, until, error",
+    [(_finishes, None, None), (_never_finishes, 5, None), (_fails, None, RuntimeError)],
+    ids=["return", "until", "raise"],
+)
+def test_run_restores_gc_state(restore_gc, caller_disabled, program, until, error):
+    gc.set_threshold(700, 11, 12)
+    if caller_disabled:
+        gc.disable()
+    else:
+        gc.enable()
+    seen = []
+    env = Environment()
+    env.process(program(env))
+    env.timeout(0.5).callbacks.append(
+        lambda _e: seen.append((gc.get_threshold(), gc.isenabled())))
+    if error is None:
+        env.run(until=until)
+    else:
+        with pytest.raises(error):
+            env.run(until=until)
+    # Inside the run only the gen-0 threshold moved.
+    assert seen == [((GC_GEN0_THRESHOLD, 11, 12), not caller_disabled)]
+    assert gc.get_threshold() == (700, 11, 12)
+    assert gc.isenabled() is not caller_disabled
+
+
+@pytest.mark.parametrize("threshold", [(0, 10, 10), (100_000, 10, 10)],
+                         ids=["gen0-off", "higher"])
+def test_run_never_lowers_or_enables_gen0(restore_gc, threshold):
+    gc.set_threshold(*threshold)
+    seen = []
+    env = Environment()
+    env.timeout(1).callbacks.append(lambda _e: seen.append(gc.get_threshold()))
+    env.run()
+    assert seen == [threshold]
+    assert gc.get_threshold() == threshold

@@ -50,6 +50,50 @@ def test_rank_rail_spread():
     assert job.nic_of(1, rail=1).index == 0
 
 
+# -- placement cache -----------------------------------------------------------
+
+
+def _uncached_nic(job, rank, rail):
+    node = job.cluster.node(rank // job.ranks_per_node)
+    base = (rank % job.ranks_per_node) % node.n_rails
+    return node.nic((base + rail) % node.n_rails)
+
+
+@pytest.mark.parametrize("ppn, nics", [(1, 1), (1, 2), (2, 2), (3, 2)])
+def test_cached_placement_matches_uncached(ppn, nics):
+    job = Job(make_cluster(4, nics=nics), ranks_per_node=ppn)
+    for _ in range(2):  # first pass fills the caches, second reads them
+        for rank in range(job.n_ranks):
+            assert job.node_of(rank) is job.cluster.node(rank // ppn)
+            for rail in range(-1, 4):
+                assert job.nic_of(rank, rail) is _uncached_nic(job, rank, rail)
+
+
+def test_reassign_node_retargets_cached_nic():
+    job = Job(make_cluster(4, nics=2), ranks_per_node=1)
+    before = [job.nic_of(1, rail) for rail in (0, 1)]
+    assert job.node_of(1).index == 1
+    job.reassign_node(1, 3)
+    assert job.node_of(1) is job.cluster.node(3)
+    assert [job.nic_of(1, rail) for rail in (0, 1)] == job.cluster.node(3).nics
+    assert before == job.cluster.node(1).nics
+    # Other ranks keep their placement.
+    assert job.nic_of(0) is job.cluster.node(0).nic(0)
+
+
+@pytest.mark.parametrize("rank", [-1, 5, 99])
+def test_out_of_range_rank_raises_on_every_call(rank):
+    job = Job(make_cluster(4), ranks_per_node=2, n_ranks=5)
+    job.node_of(0), job.nic_of(0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="out of range"):
+            job.node_of(rank)
+        with pytest.raises(ValueError, match="out of range"):
+            job.nic_of(rank)
+        with pytest.raises(ValueError, match="out of range"):
+            job.nic_of(rank, rail=1)
+
+
 def test_run_job_collects_return_values():
     job = Job(make_cluster(2))
 
